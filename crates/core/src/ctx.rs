@@ -2,11 +2,11 @@
 //! URSA's measurement and transformations consult.
 
 use crate::resource::ResourceKind;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ursa_graph::dag::NodeId;
 use ursa_graph::hammock::{HammockAnalysis, HammockCache};
 use ursa_graph::order::Levels;
-use ursa_graph::reach::Reachability;
+use ursa_graph::reach::{ReachDelta, Reachability};
 use ursa_ir::ddg::{DependenceDag, NodeKind, SpillPair};
 use ursa_machine::{Machine, OpKind};
 
@@ -14,10 +14,12 @@ use ursa_machine::{Machine, OpKind};
 /// structure and longest-path levels, kept consistent across
 /// transformations.
 ///
-/// Sequence-edge insertion updates reachability incrementally and
-/// recomputes levels; hammock structure is recomputed lazily since only
-/// measurement consults it. Spill insertion (new nodes) refreshes
-/// everything.
+/// Reachability is maintained in place: sequence-edge insertion adds
+/// the edge to the closure, and spill insertion grows the closure by
+/// the store and reload nodes and adds their edges (the rewired
+/// value → use edges stay implied through value → store → load → use,
+/// so nothing is ever removed). Levels and hammock structure are only
+/// invalidated by a mutation and recomputed when next read.
 ///
 /// Hammock analyses are memoized in a [`HammockCache`] keyed by the
 /// DAG's structural fingerprint. The cache is *shared across clones* of
@@ -30,7 +32,7 @@ pub struct AllocCtx<'m> {
     machine: &'m Machine,
     ddg: DependenceDag,
     reach: Reachability,
-    levels: Levels,
+    levels: OnceLock<Levels>,
     hammocks: Option<Arc<HammockAnalysis>>,
     hammock_cache: HammockCache,
 }
@@ -43,12 +45,11 @@ impl<'m> AllocCtx<'m> {
     /// Panics if the DAG is cyclic (dependence DAGs never are).
     pub fn new(ddg: DependenceDag, machine: &'m Machine) -> Self {
         let reach = Reachability::of(ddg.dag());
-        let levels = Self::compute_levels(&ddg, machine);
         AllocCtx {
             machine,
             ddg,
             reach,
-            levels,
+            levels: OnceLock::new(),
             hammocks: None,
             hammock_cache: HammockCache::new(),
         }
@@ -91,9 +92,17 @@ impl<'m> AllocCtx<'m> {
         &self.reach
     }
 
-    /// Longest-path levels under the machine's latencies.
+    /// Longest-path levels under the machine's latencies (recomputed
+    /// here if a mutation invalidated them).
     pub fn levels(&self) -> &Levels {
-        &self.levels
+        self.levels
+            .get_or_init(|| Self::compute_levels(&self.ddg, self.machine))
+    }
+
+    /// Levels recomputed from scratch, bypassing the maintained value.
+    /// A differential oracle for [`AllocCtx::levels`].
+    pub fn scratch_levels(&self) -> Levels {
+        Self::compute_levels(&self.ddg, self.machine)
     }
 
     /// The hammock structure (served from the shared fingerprint-keyed
@@ -137,33 +146,16 @@ impl<'m> AllocCtx<'m> {
         self.hammocks = Some(h);
     }
 
-    /// Restores previously captured levels (rollback path).
-    pub(crate) fn set_levels(&mut self, levels: Levels) {
-        self.levels = levels;
+    /// The levels if they are currently materialized (the transaction
+    /// layer snapshots them so rollback does not recompute them).
+    pub(crate) fn levels_handle(&self) -> Option<Levels> {
+        self.levels.get().cloned()
     }
 
-    /// Direct mutable access to the reachability relation for the
-    /// transaction layer's logged insert / undo cycle.
-    pub(crate) fn reach_mut(&mut self) -> &mut Reachability {
-        &mut self.reach
-    }
-
-    /// Direct mutable access to the DAG for the transaction layer
-    /// (sequence-edge removal on rollback).
-    pub(crate) fn ddg_mut(&mut self) -> &mut DependenceDag {
-        &mut self.ddg
-    }
-
-    /// Recomputes levels after the transaction layer touched the DAG
-    /// without going through [`AllocCtx::add_sequence_edge`].
-    pub(crate) fn recompute_levels(&mut self) {
-        self.levels = Self::compute_levels(&self.ddg, self.machine);
-    }
-
-    /// Invalidates the materialized hammock handle (the cache itself is
-    /// untouched, so re-materializing a known structure stays cheap).
-    pub(crate) fn invalidate_hammocks(&mut self) {
-        self.hammocks = None;
+    /// Installs previously captured levels (rollback path); `None`
+    /// leaves them to be recomputed on the next read.
+    pub(crate) fn set_levels(&mut self, levels: Option<Levels>) {
+        self.levels = levels.map_or_else(OnceLock::new, OnceLock::from);
     }
 
     /// Latency of node `n` on this machine (0 for pseudo nodes).
@@ -173,7 +165,7 @@ impl<'m> AllocCtx<'m> {
 
     /// Critical-path length of the current DAG in cycles.
     pub fn critical_path(&self) -> u64 {
-        self.levels.critical_path()
+        self.levels().critical_path()
     }
 
     /// The nodes competing for `resource`: instructions routed to that
@@ -213,6 +205,27 @@ impl<'m> AllocCtx<'m> {
     /// Panics if the edge would create a cycle; check
     /// [`AllocCtx::would_cycle`] first.
     pub fn add_sequence_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        self.insert_sequence_edge(from, to, false).is_some()
+    }
+
+    /// The one sequence-edge insertion path. Returns `None` (and changes
+    /// nothing) if the edge is already implied. Otherwise the edge joins
+    /// the DAG and the closure, levels and the hammock handle are
+    /// invalidated, and the result holds the exact set of newly
+    /// established reachability pairs when `log` is set (empty
+    /// otherwise: the unlogged closure update is word-parallel). FU
+    /// sequentialization feeds the log to its comparability matcher;
+    /// [`crate::CtxTxn`] keeps it for undo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge would create a cycle.
+    pub(crate) fn insert_sequence_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        log: bool,
+    ) -> Option<ReachDelta> {
         assert!(
             !self.would_cycle(from, to),
             "sequence edge {from} -> {to} would create a cycle"
@@ -220,56 +233,61 @@ impl<'m> AllocCtx<'m> {
         if self.reach.reaches(from, to) {
             // Already ordered; adding the edge would not remove any
             // schedule from consideration.
-            return false;
-        }
-        self.ddg.add_sequence_edge(from, to);
-        self.reach.add_edge(from, to);
-        self.levels = Self::compute_levels(&self.ddg, self.machine);
-        self.hammocks = None;
-        true
-    }
-
-    /// Like [`AllocCtx::add_sequence_edge`], but returns the exact set of
-    /// newly established reachability pairs (`None` if the edge was
-    /// already implied). FU sequentialization feeds the delta straight
-    /// into its persistent comparability matcher instead of rescanning
-    /// all node pairs per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge would create a cycle.
-    pub(crate) fn add_sequence_edge_delta(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<ursa_graph::reach::ReachDelta> {
-        assert!(
-            !self.would_cycle(from, to),
-            "sequence edge {from} -> {to} would create a cycle"
-        );
-        if self.reach.reaches(from, to) {
             return None;
         }
         self.ddg.add_sequence_edge(from, to);
-        let delta = self.reach.add_edge_logged(from, to);
-        self.levels = Self::compute_levels(&self.ddg, self.machine);
-        self.hammocks = None;
+        let delta = if log {
+            self.reach.add_edge_logged(from, to)
+        } else {
+            self.reach.add_edge(from, to);
+            ReachDelta::default()
+        };
+        self.invalidate();
         Some(delta)
     }
 
-    /// Inserts spill code (see [`DependenceDag::insert_spill`]) and
-    /// refreshes every analysis.
+    /// Reverts an [`AllocCtx::insert_sequence_edge`] given its logged
+    /// delta (LIFO order only, like [`Reachability::undo`]). Levels and
+    /// the hammock handle are invalidated; the transaction layer then
+    /// reinstalls its snapshots.
+    pub(crate) fn remove_sequence_edge(&mut self, from: NodeId, to: NodeId, delta: &ReachDelta) {
+        let removed = self.ddg.remove_sequence_edge(from, to);
+        debug_assert!(removed, "sequence edge {from} -> {to} must exist");
+        self.reach.undo(delta);
+        self.invalidate();
+    }
+
+    /// Inserts spill code (see [`DependenceDag::insert_spill`]). The
+    /// closure grows by the store and reload nodes and gains their
+    /// edges; the value → use edges the DAG drops stay implied through
+    /// value → store → load → use, so the in-place update is exact.
     pub fn insert_spill(&mut self, value_node: NodeId, reload_uses: &[NodeId]) -> SpillPair {
         let pair = self.ddg.insert_spill(value_node, reload_uses);
-        self.refresh();
+        let dag = self.ddg.dag();
+        self.reach.grow(dag.node_count());
+        for n in [pair.store, pair.load] {
+            for p in dag.preds(n) {
+                self.reach.add_edge(p, n);
+            }
+            for s in dag.succs(n) {
+                self.reach.add_edge(n, s);
+            }
+        }
+        self.invalidate();
         pair
     }
 
-    /// Recomputes all analyses from the DAG (used after node-creating
-    /// mutations).
+    /// Recomputes every analysis from the DAG, from scratch.
     pub fn refresh(&mut self) {
         self.reach = Reachability::of(self.ddg.dag());
-        self.levels = Self::compute_levels(&self.ddg, self.machine);
+        self.levels = OnceLock::from(Self::compute_levels(&self.ddg, self.machine));
+        self.hammocks = None;
+    }
+
+    /// Drops the analyses a mutation made stale; they are recomputed
+    /// when next read.
+    fn invalidate(&mut self) {
+        self.levels = OnceLock::new();
         self.hammocks = None;
     }
 }
@@ -356,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_refreshes_analyses() {
+    fn spill_extends_analyses_in_place() {
         let m = Machine::homogeneous(4, 8);
         let mut ctx = ctx_of(
             "v0 = const 1\nv1 = add v0, 2\nv2 = mul v0, 3\nstore a[0], v1\nstore a[1], v2\n",
@@ -369,6 +387,12 @@ mod tests {
         assert_eq!(ctx.ddg().dag().node_count(), n_before + 2);
         assert!(ctx.reach().reaches(def, pair.store));
         assert!(ctx.reach().reaches(pair.store, mul));
+    }
+
+    #[test]
+    fn lazy_levels_keep_the_context_shareable() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<AllocCtx<'static>>();
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::transform::{
 };
 use std::fmt;
 use ursa_graph::meter::WorkMeter;
+use ursa_graph::reach::Reachability;
 use ursa_ir::ddg::DependenceDag;
 use ursa_machine::Machine;
 
@@ -90,9 +91,11 @@ pub struct UrsaConfig {
     /// byte-identical outcomes on all paper kernels).
     pub incremental: bool,
     /// `ParanoidMeasure`: differentially check every incremental probe
-    /// against a from-scratch measurement and panic on any
-    /// disagreement. Costs the full scratch measurement per probe, so
-    /// it is for CI stress slices and debugging, not production runs.
+    /// against a from-scratch measurement, and the context's in-place
+    /// reachability and levels against a rebuild after every adopted
+    /// step; panic on any disagreement. Costs the full scratch
+    /// measurement per probe, so it is for CI stress slices and
+    /// debugging, not production runs.
     pub paranoid_measure: bool,
 }
 
@@ -365,10 +368,12 @@ pub fn allocate_budgeted(
                         // Score the candidate. Spill-free transforms only
                         // added `report.edges_added` to the base context,
                         // so the incremental engine can probe those edges
-                        // directly; spilling grows the node set and keeps
-                        // the from-scratch path (the "scratch island").
-                        // Either way the full staged measurement runs once
-                        // on the adopted candidate.
+                        // directly. A spill grows the node set: the trial
+                        // context kept its closure and levels current in
+                        // place, but its requirements are re-measured from
+                        // scratch, since the engine's matchers cannot absorb
+                        // node insertion. Either way the full staged
+                        // measurement runs once on the adopted candidate.
                         let (trial_summary, trial_cp) = match engine.as_deref_mut() {
                             Some(e) if report.spills.is_empty() => {
                                 let probe = e.probe_metered(ctx, &report.edges_added, meter);
@@ -474,6 +479,22 @@ pub fn allocate_budgeted(
                             false
                         }
                     };
+                    // The adopted context's closure and levels were
+                    // maintained in place through every edge and spill
+                    // insertion; they must equal a rebuild.
+                    if config.paranoid_measure {
+                        assert!(
+                            *ctx.reach() == Reachability::of(ctx.ddg().dag()),
+                            "ParanoidMeasure: maintained reachability disagrees with a \
+                             from-scratch closure after an adopted step"
+                        );
+                        assert_eq!(
+                            *ctx.levels(),
+                            ctx.scratch_levels(),
+                            "ParanoidMeasure: maintained levels disagree with a from-scratch \
+                             recompute after an adopted step (maintained left, scratch right)"
+                        );
+                    }
                     // A committed (spill-free) step already re-measured the
                     // base through the engine's delta matchers and kill
                     // selector; adopt that summary instead of rebuilding

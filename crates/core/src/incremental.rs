@@ -53,17 +53,17 @@ use ursa_graph::reach::ReachDelta;
 
 /// A revertible batch of sequence-edge insertions on an [`AllocCtx`].
 ///
-/// `CtxTxn` mirrors [`AllocCtx::add_sequence_edge`] but journals every
-/// effect so [`CtxTxn::rollback`] restores the context exactly: the DAG
-/// edge is removed (restoring the structural fingerprint), the
-/// reachability delta is unset, and the levels and hammock handle
-/// captured at [`CtxTxn::begin`] are put back. Levels are *not*
-/// recomputed per insertion — call [`AllocCtx::recompute_levels`]
-/// (via the engine) once after the batch when critical-path scoring is
-/// needed.
+/// `CtxTxn` inserts through the same path as
+/// [`AllocCtx::add_sequence_edge`] but journals every effect so
+/// [`CtxTxn::rollback`] restores the context exactly: the DAG edge is
+/// removed (restoring the structural fingerprint), the reachability
+/// delta is unset, and the levels and hammock handle captured at
+/// [`CtxTxn::begin`] are put back. Insertions only invalidate the
+/// levels; they are recomputed once, when the batch's critical path is
+/// first read.
 pub struct CtxTxn {
     journal: Vec<((NodeId, NodeId), ReachDelta)>,
-    saved_levels: Levels,
+    saved_levels: Option<Levels>,
     saved_hammocks: Option<std::sync::Arc<ursa_graph::hammock::HammockAnalysis>>,
 }
 
@@ -72,7 +72,7 @@ impl CtxTxn {
     pub fn begin(ctx: &AllocCtx<'_>) -> Self {
         CtxTxn {
             journal: Vec::new(),
-            saved_levels: ctx.levels().clone(),
+            saved_levels: ctx.levels_handle(),
             saved_hammocks: ctx.hammocks_handle(),
         }
     }
@@ -84,16 +84,9 @@ impl CtxTxn {
     ///
     /// Panics if the edge would create a cycle.
     pub fn add_sequence_edge(&mut self, ctx: &mut AllocCtx<'_>, from: NodeId, to: NodeId) -> bool {
-        assert!(
-            !ctx.would_cycle(from, to),
-            "sequence edge {from} -> {to} would create a cycle"
-        );
-        if ctx.reach().reaches(from, to) {
+        let Some(delta) = ctx.insert_sequence_edge(from, to, true) else {
             return false;
-        }
-        ctx.ddg_mut().add_sequence_edge(from, to);
-        let delta = ctx.reach_mut().add_edge_logged(from, to);
-        ctx.invalidate_hammocks();
+        };
         self.journal.push(((from, to), delta));
         true
     }
@@ -114,19 +107,16 @@ impl CtxTxn {
         self.journal.is_empty()
     }
 
-    /// Consumes the transaction keeping every inserted edge. The caller
-    /// must have recomputed levels already; the hammock handle stays
-    /// invalidated and is re-resolved (through the memo cache) by the
-    /// next full measurement.
+    /// Consumes the transaction keeping every inserted edge. Levels and
+    /// the hammock handle stay invalidated and are recomputed (the
+    /// hammocks through the memo cache) when next read.
     pub fn commit(self) {}
 
     /// Undoes every insertion in LIFO order and restores the captured
     /// levels and hammock handle.
     pub fn rollback(self, ctx: &mut AllocCtx<'_>) {
         for ((from, to), delta) in self.journal.into_iter().rev() {
-            let removed = ctx.ddg_mut().remove_sequence_edge(from, to);
-            debug_assert!(removed, "journaled edge {from} -> {to} must exist");
-            ctx.reach_mut().undo(&delta);
+            ctx.remove_sequence_edge(from, to, &delta);
         }
         ctx.set_levels(self.saved_levels);
         ctx.set_hammocks(self.saved_hammocks);
@@ -399,7 +389,6 @@ impl IncrementalEngine {
         for &(from, to) in edges {
             txn.add_sequence_edge(ctx, from, to);
         }
-        ctx.recompute_levels();
         // Delta-driven kill selection: `None` means the probed edges
         // cannot have moved any killer, so the base map is reused.
         let probed_kills = self.selector.probe_metered(ctx, txn.deltas(), meter);
@@ -470,7 +459,6 @@ impl IncrementalEngine {
         for &(from, to) in edges {
             txn.add_sequence_edge(ctx, from, to);
         }
-        ctx.recompute_levels();
         // Adoption is never budget-stopped: the committed engine state
         // must stay scoring-exact against the new base.
         let probed_kills = self.selector.probe_metered(ctx, txn.deltas(), &Unmetered);
@@ -653,7 +641,7 @@ mod tests {
         let mut txn = CtxTxn::begin(&ctx);
         assert!(txn.add_sequence_edge(&mut ctx, a, b));
         assert!(ctx.reach().reaches(a, b));
-        ctx.recompute_levels();
+        assert!(ctx.critical_path() >= cp);
         txn.rollback(&mut ctx);
         assert!(!ctx.reach().reaches(a, b));
         assert_eq!(ctx.critical_path(), cp);

@@ -280,7 +280,7 @@ fn apply_pick(
     u: NodeId,
     v: NodeId,
 ) {
-    if let Some(delta) = ctx.add_sequence_edge_delta(u, v) {
+    if let Some(delta) = ctx.insert_sequence_edge(u, v, true) {
         report.edges_added.push((u, v));
         for (s, d) in delta.pairs() {
             let (si, di) = (pos[s.index()], pos[d.index()]);

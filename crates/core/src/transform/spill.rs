@@ -258,8 +258,10 @@ pub fn spill_registers_metered(
             "no value bridges any stage boundary",
         ));
     }
-    // Each scored candidate pays a full tentative apply + re-measurement,
-    // and node insertion cannot be probed incrementally, so cap the
+    // Each scored candidate pays a context clone, a tentative apply (the
+    // clone's closure and levels are extended in place) and a full
+    // re-measurement of kills and the register requirement, which the
+    // incremental engine cannot probe across node insertion. So cap the
     // fully-evaluated set. Generation order already ranks candidates:
     // family 1 (delayed sub-DAG) before family 2, boundaries in
     // chains-ended order, spill-just-enough before spill-everything —

@@ -248,7 +248,10 @@ impl fmt::Debug for BitSet {
 /// (reachability) and for the `CanReuse` relations of the paper's §3.
 ///
 /// Row `i` is a [`BitSet`]-like word row; `get(i, j)` answers "does the
-/// relation hold between `i` and `j`".
+/// relation hold between `i` and `j`". Rows are laid out with a fixed
+/// word stride that may exceed the `⌈n/64⌉` words in use: the spare
+/// words stay zero and let [`BitMatrix::grow`] add nodes by appending
+/// rows. Equality compares contents, never the stride.
 ///
 /// # Examples
 ///
@@ -260,21 +263,22 @@ impl fmt::Debug for BitSet {
 /// assert!(m.get(0, 2));
 /// assert!(!m.get(2, 0));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct BitMatrix {
     n: usize,
-    words_per_row: usize,
+    /// Words allocated per row (at least `⌈n/64⌉`, at least 1).
+    stride: usize,
     bits: Vec<Word>,
 }
 
 impl BitMatrix {
     /// Creates an all-false `n × n` matrix.
     pub fn new(n: usize) -> Self {
-        let words_per_row = n.div_ceil(WORD_BITS).max(1);
+        let stride = n.div_ceil(WORD_BITS).max(1);
         BitMatrix {
             n,
-            words_per_row,
-            bits: vec![0; n * words_per_row],
+            stride,
+            bits: vec![0; n * stride],
         }
     }
 
@@ -288,10 +292,44 @@ impl BitMatrix {
         self.n == 0
     }
 
+    /// Extends the matrix to `n × n`; the new rows and columns are all
+    /// false. While the new columns fit in the row stride this only
+    /// appends rows. Otherwise the rows are re-laid out once with a
+    /// spare word each, so the next 64 nodes append again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is smaller than the current size.
+    pub fn grow(&mut self, n: usize) {
+        assert!(n >= self.n, "cannot shrink a {} matrix to {n}", self.n);
+        let need = n.div_ceil(WORD_BITS);
+        if need > self.stride {
+            let stride = need + 1;
+            let mut bits = vec![0; n * stride];
+            for i in 0..self.n {
+                bits[i * stride..i * stride + self.stride]
+                    .copy_from_slice(&self.bits[self.row_range(i)]);
+            }
+            self.bits = bits;
+            self.stride = stride;
+        } else {
+            self.bits.resize(n * self.stride, 0);
+        }
+        self.n = n;
+    }
+
     #[inline]
     fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = i * self.words_per_row;
-        start..start + self.words_per_row
+        let start = i * self.stride;
+        start..start + self.stride
+    }
+
+    /// The words of row `i` that can hold bits (the spare words are
+    /// always zero).
+    #[inline]
+    fn row_words(&self, i: usize) -> &[Word] {
+        let start = i * self.stride;
+        &self.bits[start..start + self.n.div_ceil(WORD_BITS)]
     }
 
     /// Sets entry `(i, j)` to true.
@@ -305,7 +343,7 @@ impl BitMatrix {
             "({i},{j}) out of bounds for {}",
             self.n
         );
-        self.bits[i * self.words_per_row + j / WORD_BITS] |= 1 << (j % WORD_BITS);
+        self.bits[i * self.stride + j / WORD_BITS] |= 1 << (j % WORD_BITS);
     }
 
     /// Clears entry `(i, j)`.
@@ -315,7 +353,7 @@ impl BitMatrix {
             "({i},{j}) out of bounds for {}",
             self.n
         );
-        self.bits[i * self.words_per_row + j / WORD_BITS] &= !(1 << (j % WORD_BITS));
+        self.bits[i * self.stride + j / WORD_BITS] &= !(1 << (j % WORD_BITS));
     }
 
     /// Reads entry `(i, j)`.
@@ -329,7 +367,7 @@ impl BitMatrix {
             "({i},{j}) out of bounds for {}",
             self.n
         );
-        self.bits[i * self.words_per_row + j / WORD_BITS] & (1 << (j % WORD_BITS)) != 0
+        self.bits[i * self.stride + j / WORD_BITS] & (1 << (j % WORD_BITS)) != 0
     }
 
     /// Clears every entry of row `i`.
@@ -350,19 +388,36 @@ impl BitMatrix {
         if src == dst {
             return;
         }
-        let (s, d) = (self.row_range(src), self.row_range(dst));
+        let (s, d) = (src * self.stride, dst * self.stride);
         // Rows never overlap for src != dst.
-        for k in 0..self.words_per_row {
-            let v = self.bits[s.start + k];
-            self.bits[d.start + k] |= v;
+        for k in 0..self.n.div_ceil(WORD_BITS) {
+            let v = self.bits[s + k];
+            self.bits[d + k] |= v;
+        }
+    }
+
+    /// Like [`BitMatrix::or_row_into`], but calls `on_new` with every
+    /// column of `dst` the OR newly set, in increasing order.
+    pub fn or_row_into_logged(&mut self, src: usize, dst: usize, mut on_new: impl FnMut(usize)) {
+        assert!(src < self.n && dst < self.n);
+        if src == dst {
+            return;
+        }
+        let (s, d) = (src * self.stride, dst * self.stride);
+        for k in 0..self.n.div_ceil(WORD_BITS) {
+            let mut fresh = self.bits[s + k] & !self.bits[d + k];
+            self.bits[d + k] |= fresh;
+            while fresh != 0 {
+                on_new(k * WORD_BITS + fresh.trailing_zeros() as usize);
+                fresh &= fresh - 1;
+            }
         }
     }
 
     /// Iterates over the true columns of row `i` in increasing order.
     pub fn row_iter(&self, i: usize) -> RowIter<'_> {
-        let range = self.row_range(i);
         RowIter {
-            words: &self.bits[range],
+            words: self.row_words(i),
             word_idx: 0,
             current: 0,
             n: self.n,
@@ -372,7 +427,7 @@ impl BitMatrix {
 
     /// Number of true entries in row `i`.
     pub fn row_len(&self, i: usize) -> usize {
-        self.bits[self.row_range(i)]
+        self.row_words(i)
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
@@ -381,11 +436,19 @@ impl BitMatrix {
     /// Copies row `i` into a [`BitSet`] of capacity `n`.
     pub fn row_bitset(&self, i: usize) -> BitSet {
         let mut s = BitSet::new(self.n);
-        s.words.copy_from_slice(&self.bits[self.row_range(i)]);
+        s.words.copy_from_slice(self.row_words(i));
         s.trim_tail();
         s
     }
 }
+
+impl PartialEq for BitMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && (0..self.n).all(|i| self.row_words(i) == other.row_words(i))
+    }
+}
+
+impl Eq for BitMatrix {}
 
 /// Iterator over the true columns of a [`BitMatrix`] row.
 pub struct RowIter<'a> {
@@ -542,6 +605,104 @@ mod tests {
             m.row_iter(7).collect::<Vec<_>>()
         );
         assert_eq!(row.capacity(), 70);
+    }
+
+    /// A matrix whose first rows hold a few bits on both sides of the
+    /// 64-column word boundary.
+    fn seeded(n: usize) -> BitMatrix {
+        let mut m = BitMatrix::new(n);
+        for i in 0..n.min(8) {
+            for j in [0, i, 62, 63] {
+                if j < n {
+                    m.set(i, j);
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn grow_within_stride_appends_empty_rows_and_columns() {
+        let mut m = seeded(40);
+        let before = m.clone();
+        m.grow(42);
+        assert_eq!(m.len(), 42);
+        for i in 0..40 {
+            assert_eq!(
+                m.row_iter(i).collect::<Vec<_>>(),
+                before.row_iter(i).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(m.row_len(40), 0);
+        assert!(!m.get(3, 41));
+        m.set(41, 3);
+        m.set(3, 41);
+        assert!(m.get(41, 3) && m.get(3, 41));
+    }
+
+    #[test]
+    fn grow_across_a_word_boundary_keeps_every_bit() {
+        let mut m = seeded(63);
+        let before = m.clone();
+        m.grow(65);
+        for i in 0..63 {
+            for j in 0..63 {
+                assert_eq!(m.get(i, j), before.get(i, j), "({i},{j})");
+            }
+            assert!(!m.get(i, 63) && !m.get(i, 64));
+        }
+        assert_eq!(m.row_len(64), 0);
+        m.set(64, 64);
+        m.set(2, 64);
+        assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![0, 2, 62, 64]);
+        // Growing again stays within the spare word.
+        m.grow(100);
+        assert_eq!(m.row_iter(2).collect::<Vec<_>>(), vec![0, 2, 62, 64]);
+        assert!(m.get(64, 64));
+    }
+
+    #[test]
+    fn row_views_ignore_spare_words() {
+        let mut m = seeded(60);
+        // 60 → 70 re-lays rows out with a spare word; 70 → 75 appends.
+        m.grow(70);
+        m.grow(75);
+        m.set(5, 74);
+        m.set(74, 0);
+        let row = m.row_bitset(5);
+        assert_eq!(row.capacity(), 75);
+        assert_eq!(row.iter().collect::<Vec<_>>(), vec![0, 5, 74]);
+        assert_eq!(m.row_iter(5).collect::<Vec<_>>(), vec![0, 5, 74]);
+        assert_eq!(m.row_len(5), 3);
+        assert_eq!(m.row_bitset(74).iter().collect::<Vec<_>>(), vec![0]);
+        m.or_row_into(5, 74);
+        assert_eq!(m.row_iter(74).collect::<Vec<_>>(), vec![0, 5, 74]);
+        m.clear_row(5);
+        assert_eq!(m.row_len(5), 0);
+    }
+
+    #[test]
+    fn equality_compares_contents_not_layout() {
+        let mut grown = seeded(60);
+        grown.grow(70);
+        let mut fresh = BitMatrix::new(70);
+        for i in 0..60 {
+            for j in seeded(60).row_iter(i) {
+                fresh.set(i, j);
+            }
+        }
+        assert_eq!(grown, fresh, "same bits, different strides");
+        fresh.set(69, 69);
+        assert_ne!(grown, fresh);
+        grown.set(69, 69);
+        assert_eq!(grown, fresh);
+        assert_ne!(BitMatrix::new(3), BitMatrix::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shrink")]
+    fn shrinking_panics() {
+        BitMatrix::new(4).grow(3);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::dag::{Dag, NodeId};
 /// assert_eq!(levels.asap(NodeId(2)), 2);
 /// assert_eq!(levels.slack(NodeId(1)), 0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Levels {
     asap: Vec<u64>,
     alap: Vec<u64>,

@@ -76,7 +76,7 @@ impl ReachDelta {
 /// assert!(!r.reaches(NodeId(2), NodeId(0)));
 /// assert!(!r.independent(NodeId(0), NodeId(2)));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reachability {
     /// `desc.get(a, b)` ⇔ there is a nonempty path a → b.
     desc: BitMatrix,
@@ -169,14 +169,48 @@ impl Reachability {
     /// Incrementally accounts for a newly inserted edge `a → b`.
     ///
     /// Every ancestor of `a` (and `a` itself) gains `b` and `b`'s
-    /// descendants; the transpose is updated symmetrically.
+    /// descendants, one word-parallel row OR per source; the transpose
+    /// is updated symmetrically. A source that already reaches `b`
+    /// already holds all of them and is skipped.
     ///
     /// # Panics
     ///
     /// Panics if the edge would create a cycle (call
     /// [`Reachability::would_cycle`] first).
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) {
-        self.add_edge_logged(a, b);
+        assert!(
+            !self.would_cycle(a, b),
+            "edge {a} -> {b} would create a cycle"
+        );
+        if self.reaches(a, b) {
+            return;
+        }
+        let (a, b) = (a.index(), b.index());
+        // Acyclicity keeps `b` out of {a} ∪ anc(a) and `a` out of
+        // {b} ∪ desc(b), so the rows being read are never written.
+        for s in std::iter::once(a).chain(self.anc.row_iter(a)) {
+            if !self.desc.get(s, b) {
+                self.desc.or_row_into(b, s);
+                self.desc.set(s, b);
+            }
+        }
+        for d in std::iter::once(b).chain(self.desc.row_iter(b)) {
+            if !self.anc.get(d, a) {
+                self.anc.or_row_into(a, d);
+                self.anc.set(d, a);
+            }
+        }
+    }
+
+    /// Extends the relation to `n` nodes; the new nodes start unrelated
+    /// to everything. Add their edges with [`Reachability::add_edge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is smaller than the current node count.
+    pub fn grow(&mut self, n: usize) {
+        self.desc.grow(n);
+        self.anc.grow(n);
     }
 
     /// Like [`Reachability::add_edge`], but returns the exact set of
@@ -196,20 +230,20 @@ impl Reachability {
             // Already implied; nothing changes.
             return delta;
         }
-        let gained: Vec<usize> = std::iter::once(b.index())
-            .chain(self.desc.row_iter(b.index()))
-            .collect();
-        let sources: Vec<usize> = std::iter::once(a.index())
-            .chain(self.anc.row_iter(a.index()))
-            .collect();
-        for &s in &sources {
-            for &d in &gained {
-                if s != d && !self.desc.get(s, d) {
-                    self.desc.set(s, d);
-                    self.anc.set(d, s);
-                    delta.pairs.push((s, d));
-                }
+        let (a, b) = (a.index(), b.index());
+        // Per source, `b` first and then `desc(b)` ascending: the pair
+        // order consumers of the delta see.
+        // A source that already reaches `b` gains nothing.
+        for s in std::iter::once(a).chain(self.anc.row_iter(a)) {
+            if !self.desc.get(s, b) {
+                self.desc.set(s, b);
+                delta.pairs.push((s, b));
+                self.desc
+                    .or_row_into_logged(b, s, |d| delta.pairs.push((s, d)));
             }
+        }
+        for &(s, d) in &delta.pairs {
+            self.anc.set(d, s);
         }
         delta
     }
@@ -303,6 +337,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn word_parallel_and_logged_insertion_agree_across_word_boundaries() {
+        // Two 40-node chains, joined and cross-linked one edge at a
+        // time: rows span two words and every insertion moves many
+        // pairs at once.
+        let mut g = Dag::new(80);
+        for i in 0..79 {
+            if i != 39 {
+                g.add_edge(NodeId::from(i), NodeId::from(i + 1), EdgeKind::Data);
+            }
+        }
+        let mut fast = Reachability::of(&g);
+        let mut logged = fast.clone();
+        for (a, b) in [(10u32, 50u32), (45, 20), (39, 40), (5, 70)] {
+            let (a, b) = (NodeId(a), NodeId(b));
+            if fast.would_cycle(a, b) {
+                continue;
+            }
+            g.add_edge(a, b, EdgeKind::Sequence);
+            fast.add_edge(a, b);
+            logged.add_edge_logged(a, b);
+            let fresh = Reachability::of(&g);
+            assert_eq!(fast, fresh, "word-parallel after {a} -> {b}");
+            assert_eq!(logged, fresh, "logged after {a} -> {b}");
+        }
+    }
+
+    #[test]
+    fn grow_then_add_edges_matches_recompute() {
+        // Splice a new node into the middle of a chain that crosses a
+        // word boundary, the way spill insertion adds its store/load.
+        let mut g = chain(64);
+        let mut r = Reachability::of(&g);
+        let x = g.add_node();
+        r.grow(g.node_count());
+        assert!(!r.reaches(NodeId(0), x) && r.descendant_count(x) == 0);
+        for (a, b) in [(NodeId(30), x), (x, NodeId(31)), (x, NodeId(63))] {
+            g.add_edge(a, b, EdgeKind::Data);
+            r.add_edge(a, b);
+        }
+        assert_eq!(r, Reachability::of(&g));
+        assert!(r.reaches(NodeId(0), x) && r.reaches(x, NodeId(63)));
     }
 
     #[test]
@@ -423,5 +501,34 @@ mod tests {
         let mut pairs: Vec<(u32, u32)> = d.pairs().map(|(a, b)| (a.0, b.0)).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 2), (0, 3), (1, 2), (1, 3)]);
+    }
+
+    #[test]
+    fn delta_pairs_come_source_by_source_head_first() {
+        // Sources in order `a`, then anc(a) ascending; per source `b`
+        // first, then desc(b) ascending. Consumers replay the pairs in
+        // this order, so it is part of the contract.
+        let mut g = Dag::new(6);
+        g.add_edge(NodeId(0), NodeId(2), EdgeKind::Data);
+        g.add_edge(NodeId(1), NodeId(2), EdgeKind::Data);
+        g.add_edge(NodeId(3), NodeId(4), EdgeKind::Data);
+        g.add_edge(NodeId(3), NodeId(5), EdgeKind::Data);
+        g.add_edge(NodeId(1), NodeId(5), EdgeKind::Data);
+        let mut r = Reachability::of(&g);
+        let d = r.add_edge_logged(NodeId(2), NodeId(3));
+        let pairs: Vec<(u32, u32)> = d.pairs().map(|(a, b)| (a.0, b.0)).collect();
+        assert_eq!(
+            pairs,
+            vec![
+                (2, 3),
+                (2, 4),
+                (2, 5),
+                (0, 3),
+                (0, 4),
+                (0, 5),
+                (1, 3),
+                (1, 4)
+            ]
+        );
     }
 }
