@@ -291,11 +291,32 @@ fn main() {
         }
     }
 
+    // The spill path's scoring kernel in isolation: one register
+    // requirement count (kill selection excluded) over dct8's DAG on
+    // T8's machine, about 224 competing values. Every spill trial of
+    // the dct8 compile below re-runs this on its trial context.
+    {
+        use ursa_core::kill::{select_kills, KillMode};
+        use ursa_core::measure::requirement_only;
+        use ursa_core::{AllocCtx, ResourceKind};
+        use ursa_workloads::kernels::kernel_suite;
+        let dct8 = kernel_suite()
+            .into_iter()
+            .find(|k| k.name == "dct8")
+            .expect("dct8 is in the suite");
+        let machine = Machine::homogeneous(4, 16);
+        let ctx = AllocCtx::new(DependenceDag::from_entry_block(&dct8.program), &machine);
+        let kills = select_kills(&ctx, KillMode::MinCover);
+        runner.bench("requirement_only/dct8@(4,16)", || {
+            requirement_only(&ctx, &kills, ResourceKind::Registers)
+        });
+    }
+
     // The slow real workload, gated like the rest: T8's dct8 on the
-    // (4,16) machine. Integrated and phased allocation both stop with
-    // residual excess, so the compile walks all three ladder rungs and
-    // ends on spill-only; spill scoring and `AllocCtx` upkeep do almost
-    // all of the work.
+    // (4,16) machine. Integrated allocation stops with residual excess
+    // along a path Phased would repeat exactly, so the ladder records
+    // the Phased rung without re-running it and ends on spill-only;
+    // spill scoring and `AllocCtx` upkeep do almost all of the work.
     {
         use ursa_sched::{try_compile_with, CompileStrategy, PipelineOptions};
         use ursa_workloads::kernels::kernel_suite;

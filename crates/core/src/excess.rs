@@ -11,10 +11,10 @@
 //! hammock that bounds the scope of the transformations.
 
 use crate::ctx::AllocCtx;
-use crate::measure::ResourceMeasure;
+use crate::measure::{ResourceMeasure, ReuseRows};
 use crate::resource::ResourceKind;
 use ursa_graph::bitset::BitSet;
-use ursa_graph::chains::max_antichain;
+use ursa_graph::chains::max_antichain_rows;
 use ursa_graph::dag::NodeId;
 
 /// An excessive chain set located in a hammock.
@@ -128,10 +128,8 @@ pub fn find_excessive(
         // the measured requirement and it satisfies Definition 6
         // trivially.
         let nodes = ctx.resource_nodes(resource);
-        let antichain = max_antichain(&nodes, |a, b| match resource {
-            ResourceKind::Fu(_) => crate::measure::can_reuse_fu(ctx, a, b),
-            ResourceKind::Registers => crate::measure::can_reuse_reg(ctx, kills, a, b),
-        });
+        let reuse = ReuseRows::new(ctx, kills, resource, &nodes);
+        let antichain = max_antichain_rows(&nodes, |i, out| reuse.row(i, out));
         debug_assert_eq!(antichain.len() as u32, req.required);
         if (antichain.len() as u32) <= req.capacity {
             return None;

@@ -42,7 +42,7 @@
 
 use crate::ctx::AllocCtx;
 use crate::kill::{select_kills, KillMap, KillMode, KillSelector};
-use crate::measure::{summary_fast, MeasurementSummary};
+use crate::measure::{summary_fast, MeasurementSummary, ReuseRows};
 use crate::resource::{Requirement, ResourceKind};
 use ursa_graph::bitset::BitSet;
 use ursa_graph::dag::NodeId;
@@ -165,25 +165,12 @@ struct ResState {
 impl ResState {
     fn build(ctx: &AllocCtx<'_>, kills: &KillMap, resource: ResourceKind) -> ResState {
         let nodes = ctx.resource_nodes(resource);
-        let k = nodes.len();
         let n = ctx.ddg().dag().node_count();
         let mut row_of = vec![None; n];
         for (i, &a) in nodes.iter().enumerate() {
             row_of[a.index()] = Some(i);
         }
-        let mut matcher = IncrementalMatcher::new(k, k);
-        for (i, &a) in nodes.iter().enumerate() {
-            for (j, &b) in nodes.iter().enumerate() {
-                let related = i != j
-                    && match resource {
-                        ResourceKind::Fu(_) => crate::measure::can_reuse_fu(ctx, a, b),
-                        ResourceKind::Registers => crate::measure::can_reuse_reg(ctx, kills, a, b),
-                    };
-                if related {
-                    matcher.add_edge(i, j);
-                }
-            }
-        }
+        let mut matcher = ReuseRows::new(ctx, kills, resource, &nodes).matcher();
         matcher.maximize();
         let mut killed_by = vec![Vec::new(); n];
         if resource == ResourceKind::Registers {
@@ -208,21 +195,6 @@ impl ResState {
         (self.nodes.len() - self.matcher.matching().len()) as u32
     }
 
-    /// Recomputes the full `CanReuse` row of `nodes[i]` for registers
-    /// under `kills` (used when the killer moved).
-    fn reg_row(&self, ctx: &AllocCtx<'_>, kills: &KillMap, i: usize) -> Vec<usize> {
-        let a = self.nodes[i];
-        let mut row = Vec::new();
-        if let Some(k) = kills.kill_of(a) {
-            for (j, &b) in self.nodes.iter().enumerate() {
-                if j != i && (b == k || ctx.reach().reaches(k, b)) {
-                    row.push(j);
-                }
-            }
-        }
-        row
-    }
-
     /// Applies a probe's edits to the matcher and re-augments; returns
     /// the journal needed to revert.
     fn apply<'d>(
@@ -242,9 +214,16 @@ impl ResState {
         let mut len_logged = BitSet::new(k);
 
         if self.resource == ResourceKind::Registers {
+            // Rows whose killer moved are re-read in full under the new
+            // kill map; the row kernel is built once, on the first one.
+            let mut reuse = None;
             for (i, &a) in self.nodes.iter().enumerate() {
                 if base_kills.kill_of(a) != new_kills.kill_of(a) {
-                    let row = self.reg_row(ctx, new_kills, i);
+                    let reuse = reuse.get_or_insert_with(|| {
+                        ReuseRows::new(ctx, new_kills, self.resource, &self.nodes)
+                    });
+                    let mut row = Vec::new();
+                    reuse.row(i, &mut row);
                     let old = self.matcher.set_row(i, row);
                     journal.push((i, RowUndo::Full(old)));
                     reset.insert(i);

@@ -17,9 +17,12 @@ use crate::fault::{self, FaultKind, FaultSite};
 use crate::kill::{select_kills_metered, KillMap, KillMode};
 use crate::resource::{Requirement, ResourceKind};
 use std::fmt;
+use ursa_graph::bitset::BitSet;
 use ursa_graph::chains::{decompose_prioritized_metered, ChainDecomposition};
 use ursa_graph::dag::NodeId;
+use ursa_graph::matching::IncrementalMatcher;
 use ursa_graph::meter::{Unmetered, WorkMeter};
+use ursa_graph::reach::Reachability;
 
 /// Consumes any fault armed for the measurement site, translating it
 /// into either an immediate action (panic, budget starvation) or a
@@ -153,7 +156,9 @@ impl fmt::Display for MeasurementSummary {
 
 /// The register `CanReuse` relation (paper §3.2): `b` may take over
 /// `a`'s register exactly when `b` is the chosen kill of `a`'s value or
-/// a descendant of it.
+/// a descendant of it. This pair predicate is the reference definition
+/// (Reuse DAG construction, tests); relation builders read whole rows
+/// from [`ReuseRows`].
 pub fn can_reuse_reg(ctx: &AllocCtx<'_>, kills: &KillMap, a: NodeId, b: NodeId) -> bool {
     match kills.kill_of(a) {
         Some(k) => b == k || ctx.reach().reaches(k, b),
@@ -163,9 +168,95 @@ pub fn can_reuse_reg(ctx: &AllocCtx<'_>, kills: &KillMap, a: NodeId, b: NodeId) 
 
 /// The functional-unit `CanReuse` relation (paper §3.2): with
 /// non-pipelined units, a dependent instruction can always reuse its
-/// ancestor's unit.
+/// ancestor's unit. The reference predicate, like [`can_reuse_reg`].
 pub fn can_reuse_fu(ctx: &AllocCtx<'_>, a: NodeId, b: NodeId) -> bool {
     ctx.reach().reaches(a, b)
+}
+
+/// Word-parallel `CanReuse` rows over one resource's competing nodes.
+///
+/// Every row is a row of the reachability closure masked to the
+/// members: `desc(a)` for a functional unit, `{Kill(a)} ∪ desc(Kill(a))`
+/// for a register (empty when `a`'s value has no kill). A row is read
+/// as one AND per closure word, and its set bits are mapped to member
+/// ranks, so it holds exactly the `j` with `can_reuse_*(nodes[i],
+/// nodes[j])`, in member order — what a k-probe pair loop yields.
+/// Building rows charges nothing; callers keep their own row-granular
+/// checkpoints.
+pub struct ReuseRows<'a> {
+    reach: &'a Reachability,
+    /// Registers only: the kill map rows are read through.
+    kills: Option<&'a KillMap>,
+    nodes: &'a [NodeId],
+    /// The members as a mask over DAG node indices.
+    mask: BitSet,
+    /// DAG node index → member rank (`u32::MAX` for non-members).
+    rank: Vec<u32>,
+}
+
+impl<'a> ReuseRows<'a> {
+    /// Rows of `resource`'s relation over `nodes`, which must be in
+    /// ascending node order (as [`AllocCtx::resource_nodes`] returns
+    /// them), so that closure-bit order is member order. `kills` is
+    /// only read for registers.
+    pub fn new(
+        ctx: &'a AllocCtx<'_>,
+        kills: &'a KillMap,
+        resource: ResourceKind,
+        nodes: &'a [NodeId],
+    ) -> Self {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "members must be in ascending node order"
+        );
+        let n = ctx.ddg().dag().node_count();
+        let mut mask = BitSet::new(n);
+        let mut rank = vec![u32::MAX; n];
+        for (i, &v) in nodes.iter().enumerate() {
+            mask.insert(v.index());
+            rank[v.index()] = i as u32;
+        }
+        ReuseRows {
+            reach: ctx.reach(),
+            kills: (resource == ResourceKind::Registers).then_some(kills),
+            nodes,
+            mask,
+            rank,
+        }
+    }
+
+    /// Appends row `i` — the member ranks `j` with
+    /// `CanReuse(nodes[i], nodes[j])` — to `out`, in ascending `j`.
+    /// `nodes[i]` itself never appears: the closure is acyclic, and
+    /// `Kill(a)` is a descendant of `a` (a use, or the exit node).
+    pub fn row(&self, i: usize, out: &mut Vec<usize>) {
+        let a = self.nodes[i];
+        // The closure row to read, and for registers the kill itself.
+        let (src, own) = match self.kills {
+            None => (a, None),
+            Some(kills) => match kills.kill_of(a) {
+                Some(k) => (k, Some(k.index())),
+                None => return,
+            },
+        };
+        let closure = self.reach.descendant_words(src);
+        for (w, (&d, &m)) in closure.iter().zip(self.mask.as_words()).enumerate() {
+            let mut bits = d;
+            if let Some(k) = own.filter(|k| k / 64 == w) {
+                bits |= 1 << (k % 64);
+            }
+            bits &= m;
+            while bits != 0 {
+                out.push(self.rank[w * 64 + bits.trailing_zeros() as usize] as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// A `k × k` matcher loaded with every row (not yet maximized).
+    pub fn matcher(&self) -> IncrementalMatcher {
+        IncrementalMatcher::from_rows(self.nodes.len(), |i, out| self.row(i, out))
+    }
 }
 
 /// Measures one resource kind.
@@ -193,28 +284,20 @@ fn measure_resource_inner(
     if !options.plain_matching {
         let _ = ctx.hammocks();
     }
-    let poisoned = poison_row.and_then(|p| nodes.get(p as usize % nodes.len().max(1)).copied());
+    let poisoned = poison_row.map(|p| p as usize % nodes.len().max(1));
     let decomposition = {
         let ctx_ref: &AllocCtx<'_> = ctx;
-        let mut relation = |a: NodeId, b: NodeId| {
-            if poisoned == Some(a) {
-                return false;
-            }
-            match resource {
-                ResourceKind::Fu(_) => can_reuse_fu(ctx_ref, a, b),
-                ResourceKind::Registers => can_reuse_reg(ctx_ref, kills, a, b),
+        let reuse = ReuseRows::new(ctx_ref, kills, resource, &nodes);
+        let rows = |i: usize, out: &mut Vec<usize>| {
+            if poisoned != Some(i) {
+                reuse.row(i, out);
             }
         };
         if options.plain_matching {
-            decompose_prioritized_metered(&nodes, &mut relation, |_, _| 0, meter)
+            decompose_prioritized_metered(&nodes, rows, |_, _| 0, meter)
         } else {
             let hammocks = ctx_ref.hammocks_ref().expect("hammocks computed above");
-            decompose_prioritized_metered(
-                &nodes,
-                &mut relation,
-                |a, b| hammocks.edge_priority(a, b),
-                meter,
-            )
+            decompose_prioritized_metered(&nodes, rows, |a, b| hammocks.edge_priority(a, b), meter)
         }
     };
     let required = decomposition.num_chains() as u32;
@@ -248,24 +331,16 @@ pub fn requirement_only_metered(
     meter: &dyn WorkMeter,
 ) -> u32 {
     let nodes = ctx.resource_nodes(resource);
+    let reuse = ReuseRows::new(ctx, kills, resource, &nodes);
     let k = nodes.len();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &a) in nodes.iter().enumerate() {
+    for (i, row) in adj.iter_mut().enumerate() {
         // Row-granular checkpoint; dropped rows only shrink the
         // matching, over-stating the requirement (conservative).
         if !meter.charge(k as u64) {
             break;
         }
-        for (j, &b) in nodes.iter().enumerate() {
-            let related = i != j
-                && match resource {
-                    ResourceKind::Fu(_) => can_reuse_fu(ctx, a, b),
-                    ResourceKind::Registers => can_reuse_reg(ctx, kills, a, b),
-                };
-            if related {
-                adj[i].push(j);
-            }
-        }
+        reuse.row(i, row);
     }
     let m = ursa_graph::matching::hopcroft_karp_metered(k, k, &adj, meter);
     (k - m.len()) as u32

@@ -22,6 +22,7 @@ use crate::ctx::AllocCtx;
 use crate::excess::ExcessiveChainSet;
 use crate::fault::{self, FaultKind, FaultSite};
 use crate::kill::KillMap;
+use crate::measure::ReuseRows;
 use crate::transform::{TransformError, TransformReport};
 use ursa_graph::bitset::BitSet;
 use ursa_graph::dag::NodeId;
@@ -203,14 +204,9 @@ pub fn sequentialize_fus_metered(
         for (i, &n) in nodes.iter().enumerate() {
             pos[n.index()] = i;
         }
-        let mut matcher = IncrementalMatcher::new(k, k);
-        for (i, &a) in nodes.iter().enumerate() {
-            for (j, &b) in nodes.iter().enumerate() {
-                if i != j && ctx.reach().reaches(a, b) {
-                    matcher.add_edge(i, j);
-                }
-            }
-        }
+        // Comparability rows of the class: FU `CanReuse` is
+        // reachability restricted to the class members.
+        let mut matcher = ReuseRows::new(ctx, kills, excess_set.resource, &nodes).matcher();
         matcher.maximize_metered(meter);
         loop {
             if !meter.charge(k as u64) {

@@ -55,6 +55,12 @@ impl BitSet {
         self.capacity
     }
 
+    /// Read-only view of the backing words: value `v` is bit `v % 64`
+    /// of word `v / 64`; bits at or past the capacity are always zero.
+    pub fn as_words(&self) -> &[u64] {
+        &self.words
+    }
+
     fn trim_tail(&mut self) {
         let tail = self.capacity % WORD_BITS;
         if tail != 0 {
@@ -324,10 +330,11 @@ impl BitMatrix {
         start..start + self.stride
     }
 
-    /// The words of row `i` that can hold bits (the spare words are
-    /// always zero).
+    /// Read-only view of row `i`: the `⌈n/64⌉` words that can hold
+    /// bits, column `j` at bit `j % 64` of word `j / 64` (the spare
+    /// stride words are always zero and not included).
     #[inline]
-    fn row_words(&self, i: usize) -> &[Word] {
+    pub fn row_words(&self, i: usize) -> &[u64] {
         let start = i * self.stride;
         &self.bits[start..start + self.n.div_ceil(WORD_BITS)]
     }

@@ -78,6 +78,26 @@ impl ChainDecomposition {
     }
 }
 
+/// Enumerates a relation row by row from a pair predicate: `rows(i,
+/// out)` appends every `j != i` with `related(nodes[i], nodes[j])`, in
+/// ascending `j`. This is the O(k) probe-per-row adapter for callers
+/// that only have a predicate; hot callers supply word-parallel rows.
+fn predicate_rows<'a>(
+    nodes: &'a [NodeId],
+    mut related: impl FnMut(NodeId, NodeId) -> bool + 'a,
+) -> impl FnMut(usize, &mut Vec<usize>) + 'a {
+    move |i, out| {
+        let a = nodes[i];
+        out.extend(
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|&(j, &b)| i != j && related(a, b))
+                .map(|(j, _)| j),
+        );
+    }
+}
+
 /// Decomposes `nodes` into a minimum number of chains of the strict
 /// partial order `can_reuse` (edges `(a, b)` with `can_reuse(a, b)` true
 /// mean `b` may follow `a` in a chain).
@@ -100,34 +120,45 @@ pub fn decompose_prioritized(
     can_reuse: &mut impl FnMut(NodeId, NodeId) -> bool,
     priority: impl FnMut(NodeId, NodeId) -> u32,
 ) -> ChainDecomposition {
-    decompose_prioritized_metered(nodes, can_reuse, priority, &Unmetered)
+    decompose_prioritized_metered(
+        nodes,
+        predicate_rows(nodes, can_reuse),
+        priority,
+        &Unmetered,
+    )
 }
 
-/// [`decompose_prioritized`] with a cooperative [`WorkMeter`]. If the
-/// meter exhausts mid-matching the decomposition is still a valid chain
-/// partition, just possibly not minimum — it *over-counts* the
-/// requirement, which is the conservative direction for URSA (a resource
-/// is never reported to fit when some schedule could exceed it).
+/// [`decompose_prioritized`] over a relation given row by row, with a
+/// cooperative [`WorkMeter`]; the one implementation behind every
+/// decomposition. `rows(i, out)` must append the member indices `j`
+/// with `nodes[i] → nodes[j]` in the relation, ascending and without
+/// `i` itself; each row is charged `nodes.len()` units before it is
+/// built.
+///
+/// If the meter exhausts mid-matching the decomposition is still a
+/// valid chain partition, just possibly not minimum — it *over-counts*
+/// the requirement, which is the conservative direction for URSA (a
+/// resource is never reported to fit when some schedule could exceed
+/// it).
 pub fn decompose_prioritized_metered(
     nodes: &[NodeId],
-    can_reuse: &mut impl FnMut(NodeId, NodeId) -> bool,
+    mut rows: impl FnMut(usize, &mut Vec<usize>),
     mut priority: impl FnMut(NodeId, NodeId) -> u32,
     meter: &dyn WorkMeter,
 ) -> ChainDecomposition {
     let k = nodes.len();
     let mut edges: Vec<(usize, usize, u32)> = Vec::new();
+    let mut row = Vec::new();
     for (i, &a) in nodes.iter().enumerate() {
-        // Relation rows are O(k) probes each; on exhaustion the
-        // remaining rows are dropped, which can only shrink the
+        // One row-granular checkpoint per relation row; on exhaustion
+        // the remaining rows are dropped, which can only shrink the
         // matching and thus over-state the requirement (conservative).
         if !meter.charge(k as u64) {
             break;
         }
-        for (j, &b) in nodes.iter().enumerate() {
-            if i != j && can_reuse(a, b) {
-                edges.push((i, j, priority(a, b)));
-            }
-        }
+        row.clear();
+        rows(i, &mut row);
+        edges.extend(row.iter().map(|&j| (i, j, priority(a, nodes[j]))));
     }
     let m = staged_matching_metered(k, k, &edges, meter);
 
@@ -160,20 +191,18 @@ pub fn decompose_prioritized_metered(
 /// maximum matching, the minimum vertex cover is computed via alternating
 /// paths, and the antichain consists of the nodes neither of whose copies
 /// is in the cover.
-pub fn max_antichain(
+pub fn max_antichain(nodes: &[NodeId], related: impl FnMut(NodeId, NodeId) -> bool) -> Vec<NodeId> {
+    max_antichain_rows(nodes, predicate_rows(nodes, related))
+}
+
+/// [`max_antichain`] over a relation given row by row, under the same
+/// row contract as [`decompose_prioritized_metered`].
+pub fn max_antichain_rows(
     nodes: &[NodeId],
-    mut related: impl FnMut(NodeId, NodeId) -> bool,
+    rows: impl FnMut(usize, &mut Vec<usize>),
 ) -> Vec<NodeId> {
     let k = nodes.len();
-    let mut matcher = IncrementalMatcher::new(k, k);
-    for (i, &a) in nodes.iter().enumerate() {
-        for (j, &b) in nodes.iter().enumerate() {
-            if i != j && related(a, b) {
-                // Distinct (i, j) pairs by enumeration.
-                matcher.add_edge_unchecked(i, j);
-            }
-        }
-    }
+    let mut matcher = IncrementalMatcher::from_rows(k, rows);
     let matched = matcher.maximize();
     // Minimum vertex cover = (L \ Z) ∪ (R ∩ Z); antichain = nodes with
     // neither copy in the cover.
@@ -332,9 +361,12 @@ mod tests {
         let full = decompose(&nodes, rel);
         assert_eq!(full.num_chains(), 1);
         for units in 0..40 {
-            let mut r = rel;
-            let d =
-                decompose_prioritized_metered(&nodes, &mut r, |_, _| 0, &FixedMeter::new(units));
+            let d = decompose_prioritized_metered(
+                &nodes,
+                predicate_rows(&nodes, rel),
+                |_, _| 0,
+                &FixedMeter::new(units),
+            );
             // Always a valid chain partition of all six nodes...
             assert_eq!(d.node_count(), 6);
             assert!(d.is_valid_under(rel));

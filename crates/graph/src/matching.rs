@@ -249,6 +249,23 @@ impl IncrementalMatcher {
         }
     }
 
+    /// A matcher over `n × n` vertices whose row `l` holds what
+    /// `rows(l, out)` appends, loaded with
+    /// [`IncrementalMatcher::add_edge_unchecked`] (rows must not repeat
+    /// a vertex). Nothing is matched yet.
+    pub fn from_rows(n: usize, mut rows: impl FnMut(usize, &mut Vec<usize>)) -> Self {
+        let mut matcher = IncrementalMatcher::new(n, n);
+        let mut row = Vec::new();
+        for l in 0..n {
+            row.clear();
+            rows(l, &mut row);
+            for &r in &row {
+                matcher.add_edge_unchecked(l, r);
+            }
+        }
+        matcher
+    }
+
     /// Inserts the edge `(l, r)`. Duplicates are ignored; returns `true`
     /// when the edge was actually new (callers journaling edits for a
     /// later revert use this to know whether the row grew).

@@ -155,6 +155,13 @@ impl Reachability {
         self.anc.row_iter(v.index()).map(NodeId::from)
     }
 
+    /// Read-only view of `v`'s descendant row, one bit per node in
+    /// [`crate::bitset::BitSet::as_words`] layout, for word-parallel
+    /// consumers that AND it with a node mask.
+    pub fn descendant_words(&self, v: NodeId) -> &[u64] {
+        self.desc.row_words(v.index())
+    }
+
     /// Number of strict descendants of `v`.
     pub fn descendant_count(&self, v: NodeId) -> usize {
         self.desc.row_len(v.index())

@@ -125,7 +125,7 @@ pub struct SpillPair {
 /// assert_eq!(ddg.dag().node_count(), 5);
 /// assert_eq!(ddg.fu_nodes().count(), 3);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DependenceDag {
     dag: Dag,
     kinds: Vec<NodeKind>,

@@ -581,18 +581,40 @@ fn compile_ursa(
     let budget = CompileBudget::new(opts.deadline, opts.max_steps, None);
     let mut attempts: Vec<(FallbackRung, RungFailure)> = Vec::new();
     let mut last_outcome: Option<AllocationOutcome> = None;
+    // Set when the failed Integrated rung (the last outcome) is a run
+    // Phased would repeat exactly: the Phased rung then records the same
+    // failure instead of re-running.
+    let mut phased_repeat: Option<RungFailure> = None;
     for rung_strategy in rungs {
         let rung_config = UrsaConfig {
             strategy: rung_strategy,
             ..config
         };
+        let rung = FallbackRung::Allocation(rung_strategy);
+        if rung_strategy == Strategy::Phased {
+            if let Some(why) = phased_repeat.take() {
+                if config.paranoid_measure {
+                    fault::set_stage("allocation");
+                    let real = allocate_budgeted(ddg0.clone(), machine, &rung_config, &budget);
+                    assert!(
+                        last_outcome
+                            .as_ref()
+                            .is_some_and(|o| real.same_allocation(o)),
+                        "ParanoidMeasure: the Phased rung differs from the Integrated run \
+                         it was taken to repeat"
+                    );
+                }
+                attempts.push((rung, why));
+                continue;
+            }
+        }
         fault::set_stage("allocation");
+        let armed = fault::armed();
         let outcome = allocate_budgeted(ddg0.clone(), machine, &rung_config, &budget);
         if checking {
             validate::check_dag(Stage::Allocation, &outcome.ddg)?;
             validate::check_conservation(Stage::Allocation, real_ops, &outcome.ddg)?;
         }
-        let rung = FallbackRung::Allocation(rung_strategy);
         if outcome.budget_exhausted && (outcome.residual_excess > 0 || outcome.hit_iteration_limit)
         {
             // The budget is sticky; cheaper allocation rungs would stop
@@ -608,49 +630,45 @@ fn compile_ursa(
             last_outcome = Some(outcome);
             break;
         }
-        if outcome.hit_iteration_limit {
-            attempts.push((
-                rung,
-                RungFailure::IterationLimit {
-                    iterations: rung_config.max_iterations,
-                },
-            ));
-            last_outcome = Some(outcome);
-            continue;
-        }
-        if outcome.residual_excess > 0 {
-            attempts.push((
-                rung,
-                RungFailure::ResidualExcess {
-                    excess: outcome.residual_excess,
-                },
-            ));
-            last_outcome = Some(outcome);
-            continue;
-        }
-        fault::set_stage("schedule");
-        let schedule = try_list_schedule(&outcome.ddg, machine)?;
-        if checking {
-            validate::check_schedule(&outcome.ddg, &schedule, machine)?;
-        }
-        fault::set_stage("assign");
-        match assign_registers(&outcome.ddg, &schedule, machine) {
-            Ok(vliw) => {
-                if checking {
-                    validate::check_words(&vliw, machine, real_ops)?;
+        let why = if outcome.hit_iteration_limit {
+            RungFailure::IterationLimit {
+                iterations: rung_config.max_iterations,
+            }
+        } else if outcome.residual_excess > 0 {
+            RungFailure::ResidualExcess {
+                excess: outcome.residual_excess,
+            }
+        } else {
+            fault::set_stage("schedule");
+            let schedule = try_list_schedule(&outcome.ddg, machine)?;
+            if checking {
+                validate::check_schedule(&outcome.ddg, &schedule, machine)?;
+            }
+            fault::set_stage("assign");
+            match assign_registers(&outcome.ddg, &schedule, machine) {
+                Ok(vliw) => {
+                    if checking {
+                        validate::check_words(&vliw, machine, real_ops)?;
+                    }
+                    return Ok(finish_ursa(
+                        vliw,
+                        PatchStats::default(),
+                        outcome,
+                        FallbackReport { attempts, rung },
+                    ));
                 }
-                return Ok(finish_ursa(
-                    vliw,
-                    PatchStats::default(),
-                    outcome,
-                    FallbackReport { attempts, rung },
-                ));
+                Err(e) => RungFailure::AssignOverflow { cycle: e.cycle },
             }
-            Err(e) => {
-                attempts.push((rung, RungFailure::AssignOverflow { cycle: e.cycle }));
-                last_outcome = Some(outcome);
-            }
+        };
+        attempts.push((rung, why));
+        // Phased would repeat this run exactly and meet the same budget
+        // and fault state: no plan tripped during this rung (Phased
+        // reaches no site this run did not), and no step cap that the
+        // repeat's own charges could exhaust.
+        if outcome.phased_equivalent && fault::armed() == armed && budget.max_steps().is_none() {
+            phased_repeat = Some(why);
         }
+        last_outcome = Some(outcome);
     }
     let outcome = last_outcome.expect("at least one allocation rung ran");
     if opts.no_fallback {
