@@ -314,9 +314,8 @@ fn main() {
 
     // The slow real workload, gated like the rest: T8's dct8 on the
     // (4,16) machine. Integrated allocation stops with residual excess
-    // along a path Phased would repeat exactly, so the ladder records
-    // the Phased rung without re-running it and ends on spill-only;
-    // spill scoring and `AllocCtx` upkeep do almost all of the work.
+    // and the ladder ends on spill-only; spill scoring and `AllocCtx`
+    // upkeep do almost all of the work.
     {
         use ursa_sched::{try_compile_with, CompileStrategy, PipelineOptions};
         use ursa_workloads::kernels::kernel_suite;

@@ -52,6 +52,10 @@
 //! a raw panic, never a miscompile**. Successful compiles still run
 //! both oracles; a typed error is counted, attributed, and accepted.
 //!
+//! After the summary, one `rungs[<strategy>]:` line per URSA strategy
+//! counts which rung of the degradation ladder produced the code of
+//! each passing case: per compile, or per unit in programs mode.
+//!
 //! Exit status: 0 when every case passes, 1 otherwise.
 
 use std::collections::HashMap;
@@ -64,7 +68,8 @@ use ursa_lint::{analyze_quality, lint_program, validate_translation, BoundsOptio
 use ursa_machine::Machine;
 use ursa_rng::Rng;
 use ursa_sched::{
-    try_compile_program, try_compile_with, CompileError, CompileStrategy, PipelineOptions,
+    try_compile_program, try_compile_with, CompileError, CompileStrategy, FallbackRung,
+    PipelineOptions,
 };
 use ursa_vm::equiv::{check_equivalence, seeded_memory};
 use ursa_vm::program::check_program_equivalence;
@@ -209,6 +214,15 @@ fn strategy_menu(paranoid_measure: bool) -> Vec<(&'static str, CompileStrategy)>
     ]
 }
 
+/// Every rung of every ladder, in the order the histogram prints them.
+const RUNGS: [FallbackRung; 5] = [
+    FallbackRung::Allocation(Strategy::Integrated),
+    FallbackRung::Allocation(Strategy::Phased),
+    FallbackRung::Allocation(Strategy::PhasedFuFirst),
+    FallbackRung::Allocation(Strategy::SpillOnly),
+    FallbackRung::PostpassPatch,
+];
+
 /// Program shape drawn deterministically from the seed, spanning chains
 /// to wide blocks.
 fn shape_for(seed: u64) -> RandomShape {
@@ -238,6 +252,9 @@ enum CaseResult {
         /// Quality-mode third oracle: `U03xx` warnings observed on this
         /// verified-correct compile. Counted, never failing.
         quality_warnings: u64,
+        /// The ladder rung that produced the code, per compiled unit
+        /// (empty for strategies without a ladder).
+        rungs: Vec<FallbackRung>,
     },
     /// The strategy refused the input for an expected, typed reason
     /// (Goodman–Hsu cannot spill, so honest overflow refusals count).
@@ -303,6 +320,7 @@ fn run_case(
         Ok(Err(e)) => return CaseResult::fail(format!("compile error: {e}")),
         Ok(Ok(c)) => c,
     };
+    let rungs = compiled.fallback.iter().map(|r| r.rung).collect();
     // Oracle 1: the static translation validator, against the DAG the
     // code was generated from. Prepass code is pre-colored before its
     // DAG exists, so the validator cannot map its live-ins; skip it
@@ -380,7 +398,10 @@ fn run_case(
     };
     let static_errs = static_verdict.as_ref().filter(|e| !e.is_empty());
     match (static_errs, dynamic_err) {
-        (None, None) => CaseResult::Pass { quality_warnings },
+        (None, None) => CaseResult::Pass {
+            quality_warnings,
+            rungs,
+        },
         (Some(se), None) => CaseResult::Fail {
             why: format!(
                 "static validator rejected, dynamic oracle passed (ORACLE DISAGREEMENT): {}",
@@ -449,6 +470,11 @@ fn run_program_case(
         Ok(Err(e)) => return CaseResult::fail(format!("compile error: {e}")),
         Ok(Ok(s)) => s,
     };
+    let rungs = sched
+        .units
+        .iter()
+        .filter_map(|u| u.compiled.fallback.as_ref().map(|r| r.rung))
+        .collect();
     // The fault plan targets the pipeline. A plan whose site was never
     // reached during a successful compile stays armed, and unlike the
     // single-block oracles, `lint_program` replays measurement code and
@@ -515,7 +541,10 @@ fn run_program_case(
     };
     let static_errs = static_verdict.as_ref().filter(|e| !e.is_empty());
     match (static_errs, dynamic_err) {
-        (None, None) => CaseResult::Pass { quality_warnings },
+        (None, None) => CaseResult::Pass {
+            quality_warnings,
+            rungs,
+        },
         (Some(se), None) => CaseResult::Fail {
             why: format!(
                 "static validator rejected, dynamic oracle passed (ORACLE DISAGREEMENT): {}",
@@ -577,6 +606,7 @@ fn main() -> ExitCode {
     let (mut static_rejects, mut disagreements) = (0u64, 0u64);
     let (mut typed_errors, mut isolated_panics) = (0u64, 0u64);
     let (mut quality_total, mut quality_flagged_cases) = (0u64, 0u64);
+    let mut rung_counts = vec![[0u64; RUNGS.len()]; strategies.len()];
     for seed in opts.seeds.clone() {
         for machine in &machines {
             if let Some(f) = &opts.machine_filter {
@@ -584,7 +614,7 @@ fn main() -> ExitCode {
                     continue;
                 }
             }
-            for (name, strategy) in &strategies {
+            for ((name, strategy), counts) in strategies.iter().zip(&mut rung_counts) {
                 if let Some(f) = &opts.strategy_filter {
                     if *name != f.as_str() {
                         continue;
@@ -616,9 +646,19 @@ fn main() -> ExitCode {
                     // clear it so it cannot leak into the next case.
                     let _ = ursa_core::fault::disarm();
                     match result {
-                        CaseResult::Pass { quality_warnings } => {
+                        CaseResult::Pass {
+                            quality_warnings,
+                            rungs,
+                        } => {
                             quality_total += quality_warnings;
                             quality_flagged_cases += u64::from(quality_warnings > 0);
+                            for rung in rungs {
+                                let i = RUNGS
+                                    .iter()
+                                    .position(|&r| r == rung)
+                                    .expect("every rung is listed");
+                                counts[i] += 1;
+                            }
                         }
                         CaseResult::Refused => refusals += 1,
                         CaseResult::Typed { internal } => {
@@ -706,6 +746,17 @@ fn main() -> ExitCode {
          disagreements){chaos_note}{quality_note}",
         opts.seeds.start, opts.seeds.end
     );
+    for ((name, _), counts) in strategies.iter().zip(&rung_counts) {
+        let histogram: Vec<String> = RUNGS
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(rung, n)| format!("{rung}={n}"))
+            .collect();
+        if !histogram.is_empty() {
+            println!("rungs[{name}]: {}", histogram.join(" "));
+        }
+    }
     if failures > 0 {
         ExitCode::FAILURE
     } else {

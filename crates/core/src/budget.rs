@@ -107,11 +107,6 @@ impl CompileBudget {
         Self::new(None, Some(max_steps), None)
     }
 
-    /// The work-step allowance, if any.
-    pub fn max_steps(&self) -> Option<u64> {
-        self.max_steps
-    }
-
     /// Work units charged so far.
     pub fn steps(&self) -> u64 {
         self.steps.get()

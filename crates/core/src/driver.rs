@@ -79,10 +79,6 @@ pub struct UrsaConfig {
     pub plain_matching: bool,
     /// Safety valve on reduction rounds.
     pub max_iterations: usize,
-    /// Run the stage invariant checks even in release builds. The
-    /// checks themselves live in `ursa-sched::validate`; this flag only
-    /// requests them.
-    pub paranoid: bool,
     /// Score tentative spill-free candidates with the delta-propagating
     /// [`IncrementalEngine`] instead of cloning the context and
     /// re-measuring from scratch. Decision-neutral: every maximum
@@ -106,7 +102,6 @@ impl Default for UrsaConfig {
             kill_mode: KillMode::MinCover,
             plain_matching: false,
             max_iterations: 256,
-            paranoid: false,
             incremental: true,
             paranoid_measure: false,
         }
@@ -145,7 +140,7 @@ impl fmt::Display for StepKind {
 }
 
 /// One applied reduction step.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct Step {
     /// The transformation applied.
     pub kind: StepKind,
@@ -185,15 +180,6 @@ pub struct AllocationOutcome {
     /// outcome is the best-so-far state (anytime semantics), possibly
     /// with residual excess the assignment phase must absorb.
     pub budget_exhausted: bool,
-    /// Integrated runs only: `true` when [`Strategy::Phased`] on the
-    /// same input and configuration would make exactly this run. Once a
-    /// round's register kinds find nothing (registers fit, or neither
-    /// register transformation applies), Phased switches to its FU
-    /// phase for good, so the runs agree exactly when Integrated never
-    /// adopts a register step after such a round. Phased spends one
-    /// extra round at its phase switch, so the flag also needs room for
-    /// it under `max_iterations`, and an exhausted budget clears it.
-    pub phased_equivalent: bool,
 }
 
 impl AllocationOutcome {
@@ -205,21 +191,6 @@ impl AllocationOutcome {
     /// Total sequence edges added.
     pub fn sequence_edge_count(&self) -> usize {
         self.steps.iter().map(|s| s.edges_added).sum()
-    }
-
-    /// `true` when both outcomes made the same allocation: the same
-    /// steps, transformed DAG, measurements, residual excess and stop
-    /// reasons. Only [`AllocationOutcome::phased_equivalent`], which
-    /// describes the strategy rather than the allocation, is ignored.
-    pub fn same_allocation(&self, other: &AllocationOutcome) -> bool {
-        self.ddg == other.ddg
-            && self.initial_measurement == other.initial_measurement
-            && self.final_measurement == other.final_measurement
-            && self.steps == other.steps
-            && self.residual_excess == other.residual_excess
-            && self.critical_path == other.critical_path
-            && self.hit_iteration_limit == other.hit_iteration_limit
-            && self.budget_exhausted == other.budget_exhausted
     }
 }
 
@@ -284,11 +255,6 @@ pub fn allocate_budgeted(
     };
 
     let mut iterations = 0usize;
-    // Integrated only: whether some round's register kinds found
-    // nothing (where Phased leaves its register phase), and whether a
-    // register step was adopted after that (where the two diverge).
-    let mut left_reg_phase = false;
-    let mut reg_step_after = false;
     'phases: for phase_allowed in phases {
         loop {
             if meas.fits() {
@@ -459,10 +425,6 @@ pub fn allocate_budgeted(
                     excess_before,
                     meter,
                 );
-                // Register kinds find nothing while registers fit.
-                let reg_found = reg_excess && found.is_some();
-                reg_step_after |= left_reg_phase && reg_found;
-                left_reg_phase |= !reg_found;
                 if found.is_none() {
                     found = try_kinds(
                         fallback,
@@ -579,11 +541,6 @@ pub fn allocate_budgeted(
 
     let final_measurement = meas.summary();
     let residual_excess = final_measurement.total_excess();
-    let budget_exhausted = budget.is_exhausted();
-    let phased_equivalent = config.strategy == Strategy::Integrated
-        && !reg_step_after
-        && !budget_exhausted
-        && (!left_reg_phase || iterations < config.max_iterations);
     AllocationOutcome {
         critical_path: ctx.critical_path(),
         ddg: ctx.into_ddg(),
@@ -592,8 +549,7 @@ pub fn allocate_budgeted(
         steps,
         residual_excess,
         hit_iteration_limit,
-        budget_exhausted,
-        phased_equivalent,
+        budget_exhausted: budget.is_exhausted(),
     }
 }
 

@@ -184,13 +184,6 @@ pub fn disarm() -> Option<FaultPlan> {
     ARMED.with(|a| a.take())
 }
 
-/// The plan still pending on this thread, without consuming it. A
-/// caller that reads it before and after a stage learns whether the
-/// stage tripped the plan.
-pub fn armed() -> Option<FaultPlan> {
-    ARMED.with(|a| a.get())
-}
-
 /// One-shot site check: if a plan is armed for `site`, consumes it and
 /// returns the fault to perform. Callers handle each kind they support;
 /// `FaultKind::Panic` can be delegated to [`trip_panic`].

@@ -95,7 +95,7 @@ pub struct Edge {
 /// assert!(g.is_acyclic());
 /// assert_eq!(g.succs(a).collect::<Vec<_>>(), vec![b]);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Dag {
     succs: Vec<Vec<(NodeId, EdgeKind)>>,
     preds: Vec<Vec<(NodeId, EdgeKind)>>,

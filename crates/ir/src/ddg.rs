@@ -125,7 +125,7 @@ pub struct SpillPair {
 /// assert_eq!(ddg.dag().node_count(), 5);
 /// assert_eq!(ddg.fu_nodes().count(), 3);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct DependenceDag {
     dag: Dag,
     kinds: Vec<NodeKind>,
@@ -495,11 +495,11 @@ impl<'a> Builder<'a> {
         // Rewrite uses to renamed registers, creating live-in nodes for
         // values defined before the trace.
         for orig in instr.uses() {
-            let (def_node, renamed) = self.mapping_for(orig);
+            // The def node's edge is added below, after this node exists.
+            let (_, renamed) = self.mapping_for(orig);
             if renamed != orig {
                 instr.replace_uses(orig, renamed);
             }
-            let _ = def_node; // edge added below, after node exists
         }
         // Rename the definition if the original register was already
         // defined on the trace (unless anti-dependence mode is on).

@@ -112,9 +112,6 @@ mod tests {
         .unwrap();
         let mut ddg = DependenceDag::from_entry_block(&p);
         // Add a sequence edge so the red style appears.
-        let a = ddg.dag().node(2);
-        let b = ddg.dag().node(5);
-        let _ = (a, b);
         ddg.add_sequence_edge(ddg.dag().node(3), ddg.dag().node(5));
         let dot = to_dot(&ddg, "t");
         assert!(dot.contains("digraph t {"));

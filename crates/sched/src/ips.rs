@@ -190,7 +190,7 @@ pub fn try_ips_schedule(
                     }
                 }
             }
-            let Some((v, delta, fu, overflowed)) = issued else {
+            let Some((v, _, fu, overflowed)) = issued else {
                 break;
             };
             if overflowed {
@@ -213,7 +213,6 @@ pub fn try_ips_schedule(
                     live -= 1;
                 }
             }
-            let _ = delta;
             stats.max_live = stats.max_live.max(live);
             release(
                 ddg,

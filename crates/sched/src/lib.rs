@@ -544,9 +544,11 @@ fn try_compile_inner(
 /// The allocation rungs tried for a configured discipline, most capable
 /// first. Spill-only is always last among allocation rungs because
 /// spilling is the one transformation that is always applicable (§4.3).
+/// Integrated has no Phased rung: a Phased run after it never produced
+/// the code (DESIGN.md §7).
 fn ladder_for(configured: Strategy) -> Vec<Strategy> {
     match configured {
-        Strategy::Integrated => vec![Strategy::Integrated, Strategy::Phased, Strategy::SpillOnly],
+        Strategy::Integrated => vec![Strategy::Integrated, Strategy::SpillOnly],
         Strategy::Phased => vec![Strategy::Phased, Strategy::SpillOnly],
         Strategy::PhasedFuFirst => vec![
             Strategy::PhasedFuFirst,
@@ -564,7 +566,7 @@ fn compile_ursa(
     config: UrsaConfig,
     opts: &PipelineOptions,
 ) -> Result<Compiled, CompileError> {
-    let checking = opts.validate || config.paranoid || cfg!(debug_assertions);
+    let checking = opts.validate || cfg!(debug_assertions);
     let ddg0 = DependenceDag::build_with(program, trace, opts.ddg);
     if checking {
         validate::check_dag(Stage::Ddg, &ddg0)?;
@@ -581,35 +583,13 @@ fn compile_ursa(
     let budget = CompileBudget::new(opts.deadline, opts.max_steps, None);
     let mut attempts: Vec<(FallbackRung, RungFailure)> = Vec::new();
     let mut last_outcome: Option<AllocationOutcome> = None;
-    // Set when the failed Integrated rung (the last outcome) is a run
-    // Phased would repeat exactly: the Phased rung then records the same
-    // failure instead of re-running.
-    let mut phased_repeat: Option<RungFailure> = None;
     for rung_strategy in rungs {
         let rung_config = UrsaConfig {
             strategy: rung_strategy,
             ..config
         };
         let rung = FallbackRung::Allocation(rung_strategy);
-        if rung_strategy == Strategy::Phased {
-            if let Some(why) = phased_repeat.take() {
-                if config.paranoid_measure {
-                    fault::set_stage("allocation");
-                    let real = allocate_budgeted(ddg0.clone(), machine, &rung_config, &budget);
-                    assert!(
-                        last_outcome
-                            .as_ref()
-                            .is_some_and(|o| real.same_allocation(o)),
-                        "ParanoidMeasure: the Phased rung differs from the Integrated run \
-                         it was taken to repeat"
-                    );
-                }
-                attempts.push((rung, why));
-                continue;
-            }
-        }
         fault::set_stage("allocation");
-        let armed = fault::armed();
         let outcome = allocate_budgeted(ddg0.clone(), machine, &rung_config, &budget);
         if checking {
             validate::check_dag(Stage::Allocation, &outcome.ddg)?;
@@ -661,13 +641,6 @@ fn compile_ursa(
             }
         };
         attempts.push((rung, why));
-        // Phased would repeat this run exactly and meet the same budget
-        // and fault state: no plan tripped during this rung (Phased
-        // reaches no site this run did not), and no step cap that the
-        // repeat's own charges could exhaust.
-        if outcome.phased_equivalent && fault::armed() == armed && budget.max_steps().is_none() {
-            phased_repeat = Some(why);
-        }
         last_outcome = Some(outcome);
     }
     let outcome = last_outcome.expect("at least one allocation rung ran");

@@ -231,7 +231,7 @@ pub fn try_patch_spills(
 
     // Helper closures become explicit functions to appease the borrow
     // checker; state is threaded through a macro-free struct instead.
-    for (idx, &node) in ordered.iter().enumerate() {
+    for &node in &ordered {
         let class = node_class(ddg, machine, node).expect("scheduled ops are real");
         let lat = node_latency(ddg, machine, node);
         let (mut instr, is_branch_cond) = match ddg.kind(node) {
@@ -269,7 +269,6 @@ pub fn try_patch_spills(
                     &live_out_set,
                     spill_sym,
                     &mut next_slot,
-                    idx,
                     &reads,
                     last_issue,
                 )?;
@@ -371,7 +370,6 @@ pub fn try_patch_spills(
                 &live_out_set,
                 spill_sym,
                 &mut next_slot,
-                idx,
                 &reads,
                 last_issue,
             )?),
@@ -508,7 +506,6 @@ fn take_register(
     live_out_set: &BTreeSet<VirtualReg>,
     spill_sym: SymbolId,
     next_slot: &mut i64,
-    current_idx: usize,
     current_reads: &[VirtualReg],
     last_issue: u64,
 ) -> Result<u32, CompileError> {
@@ -536,7 +533,6 @@ fn take_register(
                     ps.get(done).copied().unwrap_or(usize::MAX)
                 })
                 .unwrap_or(usize::MAX);
-            let _ = current_idx;
             (next, live_out_set.contains(v), std::cmp::Reverse(*p))
         })
         .map(|(&p, _)| p)

@@ -267,7 +267,6 @@ pub fn try_list_schedule(ddg: &DependenceDag, machine: &Machine) -> Result<Sched
             // Max priority = min alap; tie on node id for determinism.
             (levels.alap(v), v)
         });
-        let mut issued_any = false;
         for v in issuable {
             let class = node_class(ddg, machine, v).expect("real op");
             let lat = node_latency(ddg, machine, v);
@@ -288,7 +287,6 @@ pub fn try_list_schedule(ddg: &DependenceDag, machine: &Machine) -> Result<Sched
             let pos = ready.iter().position(|&r| r == v).expect("was ready");
             ready.swap_remove(pos);
             pending -= 1;
-            issued_any = true;
             release_succs(
                 ddg,
                 v,
@@ -298,7 +296,6 @@ pub fn try_list_schedule(ddg: &DependenceDag, machine: &Machine) -> Result<Sched
                 &mut ready,
             );
         }
-        let _ = issued_any;
         cycle += 1;
         // Safety valve: a correct scheduler always terminates well within
         // this bound.
@@ -436,8 +433,6 @@ mod tests {
         let machine = Machine::homogeneous(4, 32);
         let mut s = list_schedule(&ddg, &machine);
         s.ops.pop();
-        let victim = s.ops.last().map(|o| o.node).unwrap();
-        let _ = victim;
         // Remove a node from the start map to simulate a hole.
         let some_node = ddg.fu_nodes().next().unwrap();
         s.start.remove(&some_node);

@@ -10,7 +10,7 @@
 //!
 //! The checks are cheap enough for `debug_assertions` builds to run
 //! them always; release builds run them when requested via
-//! [`crate::PipelineOptions::validate`] or `UrsaConfig::paranoid`.
+//! [`crate::PipelineOptions::validate`].
 //! A violation is reported as a typed [`ValidationError`] (wrapped in
 //! [`crate::CompileError::Validation`]) — never a panic.
 

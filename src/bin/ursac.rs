@@ -389,10 +389,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut config = UrsaConfig {
-        paranoid: opts.validate,
-        ..UrsaConfig::default()
-    };
+    let mut config = UrsaConfig::default();
     if let Some(n) = opts.max_iterations {
         config.max_iterations = n;
     }
